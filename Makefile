@@ -48,8 +48,9 @@ bench-engine:
 	$(PYTHON) scripts/bench_engine.py
 
 # Regression gate: fail when the geomean sim_cycles_per_s drops >15%
-# below the committed BENCH_engine.json, batched/legacy counter parity
-# breaks, or the committed fidelity/pool floors no longer hold.
+# below the committed BENCH_engine.json, a cell's counter digest differs
+# from the committed one, or the committed fidelity/pool floors no
+# longer hold.
 bench-engine-check:
 	$(PYTHON) scripts/bench_engine.py --check
 

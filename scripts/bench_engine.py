@@ -7,11 +7,8 @@ Runs the fixed BENCH matrix (same apps/nodes/ops/seed/epoch as
 
 * ``sim_cycles_per_s`` - simulated cycles per wall-second through the
   public ``api.run`` path (the number the trajectory tracks);
-* ``legacy_cycles_per_s`` - the same spec on ``Engine(batched=False)``,
-  the reference heap scheduler, plus the batched/legacy speedup;
-* ``parity`` - whether the batched and legacy runs produced bit-identical
-  PMU counter totals (they must: the fast path is an optimisation, not a
-  model change).
+* ``counter_sha256`` - a digest of the run's PMU counter totals (a speed
+  change is an optimisation, not a model change, so it must not move).
 
 Top-level, the snapshot also records:
 
@@ -33,9 +30,9 @@ Top-level, the snapshot also records:
 
 ``--check`` re-measures the matrix and fails (exit 1) when the geomean
 regresses more than ``--tolerance`` (default 15%) below the committed
-snapshot, when batched/legacy parity breaks, or when the committed
-fidelity/pool sections no longer meet their floors - wire this into CI
-(``make bench-engine-check``).  Absolute numbers are host-dependent; the
+snapshot, when a cell's counter digest differs from the committed one,
+or when the committed fidelity/pool sections no longer meet their floors
+- wire this into CI (``make bench-engine-check``).  Absolute numbers are host-dependent; the
 gate therefore compares against a snapshot produced on the same host
 class, and the committed file records the host.
 
@@ -63,10 +60,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro import api  # noqa: E402
 from repro.core import AppSpec, ProfileSpec  # noqa: E402
-from repro.core.profiler import PathFinder  # noqa: E402
 from repro.exec import WorkerPool, cxl_node_id  # noqa: E402
 from repro.exec.runner import run_single_job  # noqa: E402
-from repro.sim import Machine, spr_config  # noqa: E402
+from repro.sim import spr_config  # noqa: E402
 from repro.sim.warp import WarpSpec  # noqa: E402
 from repro.workloads import SequentialStream  # noqa: E402
 
@@ -114,19 +110,6 @@ def _counter_checksum(result) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _machine_run(job, batched: bool):
-    """One PathFinder session on a fresh machine; returns (result, wall)."""
-    for app in job.spec.apps:
-        reseed = getattr(app.workload, "reseed", None)
-        if reseed is not None:
-            reseed()
-    machine = Machine(job.config)
-    machine.engine.set_batched(batched)
-    began = time.perf_counter()
-    result = PathFinder(machine, job.spec).run()
-    return result, time.perf_counter() - began
-
-
 def measure(ops: int, repeat: int = 3) -> dict:
     """Best-of-``repeat`` walls per cell: single runs jitter 10-20%."""
     rows = {}
@@ -141,23 +124,13 @@ def measure(ops: int, repeat: int = 3) -> dict:
                 began = time.perf_counter()
                 result = api.run(job.spec, config=job.config, cache=False)
                 api_wall = min(api_wall, time.perf_counter() - began)
-            # A/B on bare machines: batched vs the legacy reference heap.
-            fast_wall = slow_wall = float("inf")
-            for _ in range(repeat):
-                fast, wall = _machine_run(job, batched=True)
-                fast_wall = min(fast_wall, wall)
-                slow, wall = _machine_run(job, batched=False)
-                slow_wall = min(slow_wall, wall)
-            parity = _counter_checksum(fast) == _counter_checksum(slow)
             cycles = result.total_cycles
             rows[job.tag] = {
                 "wall_s": round(api_wall, 4),
                 "num_epochs": result.num_epochs,
                 "sim_cycles": cycles,
                 "sim_cycles_per_s": round(cycles / api_wall, 1),
-                "legacy_cycles_per_s": round(fast.total_cycles / slow_wall, 1),
-                "speedup_vs_legacy_heap": round(slow_wall / fast_wall, 3),
-                "parity": parity,
+                "counter_sha256": _counter_checksum(result),
             }
     return rows
 
@@ -375,8 +348,8 @@ def add_baseline_speedups(rows: dict, baseline_path: str) -> None:
 
 
 def check(ops: int, tolerance: float, snapshot_path: Path) -> int:
-    """Gate on the geomean (not per-cell jitter), parity, and the
-    committed fidelity/pool floors."""
+    """Gate on the geomean (not per-cell jitter), per-cell counter
+    digests, and the committed fidelity/pool floors."""
     if not snapshot_path.exists():
         print(f"no committed snapshot at {snapshot_path}; run without --check first")
         return 2
@@ -385,9 +358,13 @@ def check(ops: int, tolerance: float, snapshot_path: Path) -> int:
     failed = []
     for tag, row in rows.items():
         new = row["sim_cycles_per_s"]
-        old = committed["engine"].get(tag, {}).get("sim_cycles_per_s")
-        if not row["parity"]:
-            failed.append(f"{tag}: batched/legacy counter parity broken")
+        cell = committed["engine"].get(tag, {})
+        old = cell.get("sim_cycles_per_s")
+        if row["counter_sha256"] != cell.get("counter_sha256"):
+            failed.append(
+                f"{tag}: counter digest {row['counter_sha256']} != "
+                f"committed {cell.get('counter_sha256')}"
+            )
             status = "PARITY-FAIL"
         else:
             status = "ok"
@@ -440,7 +417,7 @@ def check(ops: int, tolerance: float, snapshot_path: Path) -> int:
         for line in failed:
             print(f"  - {line}")
         return 1
-    print("\nOK: geomean within tolerance, parity intact, "
+    print("\nOK: geomean within tolerance, counter digests match, "
           "fidelity/pool floors hold")
     return 0
 

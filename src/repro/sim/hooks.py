@@ -10,10 +10,9 @@ machine exposes, so ``Machine.attach_recorder`` is a data-driven walk
 over ports instead of hand-wired assignments.
 
 Anything implementing :class:`EngineHooks` (the reference implementation
-is :class:`repro.obs.FlightRecorder`) can be attached; the batched
-engine drains same-timestamp events in exactly the insertion order the
-legacy heap used, so a recorder sees the identical hop/queue event
-stream under either scheduler (see ``tests/test_engine_fastpath.py``).
+is :class:`repro.obs.FlightRecorder`) can be attached.  Attaching one
+turns request pooling off but leaves every PMU total unchanged (see
+``tests/test_engine_fastpath.py``).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
-"""The batched scheduler must be indistinguishable from the legacy heap.
+"""Ordering, clamping, budget and recorder invariants of the event engine.
 
-The engine's bucket-batched fast path (see docs/ENGINE.md) only holds if
-three invariants survive: equal-timestamp events run in insertion (FIFO)
-order, sub-epsilon past drift is clamped rather than fatal, and an
-attached flight recorder sees the identical event stream either way.
-Budget composition across resumed ``run()`` calls rides along because the
-fast path keeps its event counter in a local.
+The engine is one ``(time, insertion-seq)`` heap (see docs/ENGINE.md).
+These tests pin down what that order promises: equal-timestamp events run
+in insertion (FIFO) order, including events a callback schedules at the
+live timestamp; sub-epsilon past drift is clamped rather than fatal;
+budgets compose across resumed ``run()`` calls; and attaching a flight
+recorder, which turns request pooling off, leaves the PMU totals unchanged.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from repro.workloads import RandomAccess
 # -- FIFO ordering -----------------------------------------------------------
 
 
-def _record_order(engine: Engine, times):
+def _record_order(times):
     """Schedule one tagged event per entry of ``times``; run; return tags."""
+    engine = Engine()
     order = []
     for seq, time in enumerate(times):
         engine.at(time, lambda s=seq: order.append(s))
@@ -43,13 +44,11 @@ def _record_order(engine: Engine, times):
     )
 )
 def test_equal_timestamp_events_keep_fifo_order(times):
-    batched = _record_order(Engine(batched=True), times)
-    legacy = _record_order(Engine(batched=False), times)
-    assert batched == legacy
-    # The merged order is exactly a stable sort by timestamp: FIFO within
-    # one timestamp, timestamps ascending.
+    order = _record_order(times)
+    # The order is exactly a stable sort by timestamp: FIFO within one
+    # timestamp, timestamps ascending.
     expected = [i for i, _ in sorted(enumerate(times), key=lambda p: p[1])]
-    assert batched == expected
+    assert order == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -66,39 +65,29 @@ def test_equal_timestamp_events_keep_fifo_order(times):
 def test_mid_drain_same_time_appends_keep_fifo_order(plan):
     """Events that schedule more work at the *same* timestamp stay FIFO.
 
-    This is the regression the index-drained bucket exists for: a late
-    arrival at the live timestamp must join the back of the batch, which
-    is exactly the legacy heap's (time, seq) order.
+    A callback's arrivals at the live timestamp run after every event
+    already queued at that time, in the order they were scheduled.
     """
-
-    def build(engine):
-        order = []
-        tag = 0
-        for time, extra in plan:
-            def cb(t=time, n=extra, base=tag):
-                order.append(("outer", base))
-                for k in range(n):
-                    engine.at(
-                        t, lambda b=base, kk=k: order.append(("inner", b, kk))
-                    )
-            engine.at(time, cb)
-            tag += 1
-        return order
-
-    e1, e2 = Engine(batched=True), Engine(batched=False)
-    o1, o2 = build(e1), build(e2)
-    e1.run()
-    e2.run()
-    assert o1 == o2
-
-
-def test_schedule_batch_preserves_iteration_order():
     engine = Engine()
     order = []
-    engine.at(2.0, lambda: order.append("pre"))
-    engine.schedule_batch(2.0, [lambda i=i: order.append(i) for i in range(5)])
+    for tag, (time, extra) in enumerate(plan):
+        def cb(t=time, n=extra, base=tag):
+            order.append(("outer", base))
+            for k in range(n):
+                engine.at(
+                    t, lambda b=base, kk=k: order.append(("inner", b, kk))
+                )
+        engine.at(time, cb)
     engine.run()
-    assert order == ["pre", 0, 1, 2, 3, 4]
+
+    # Expected: per timestamp, every outer event in plan order, then the
+    # inner events they scheduled, in scheduling order.
+    expected = []
+    for time in sorted({t for t, _ in plan}):
+        outers = [(tag, n) for tag, (t, n) in enumerate(plan) if t == time]
+        expected += [("outer", tag) for tag, _ in outers]
+        expected += [("inner", tag, k) for tag, n in outers for k in range(n)]
+    assert order == expected
 
 
 # -- past-drift clamping -----------------------------------------------------
@@ -123,17 +112,6 @@ def test_at_rejects_genuinely_past_times():
     engine.run()
     with pytest.raises(ValueError, match="in the past"):
         engine.at(25.0, lambda: None)
-
-
-def test_schedule_batch_clamps_and_rejects_like_at():
-    engine = Engine()
-    ran = []
-    engine.at(10.0, lambda: engine.schedule_batch(
-        10.0 - 1e-12, [lambda: ran.append(1)]))
-    engine.run()
-    assert ran == [1]
-    with pytest.raises(ValueError, match="in the past"):
-        engine.schedule_batch(1.0, [lambda: None])
 
 
 # -- budget composition ------------------------------------------------------
@@ -186,10 +164,10 @@ def test_budget_exact_under_midbatch_stop():
     assert engine.pending_events == 0
 
 
-# -- recorder parity under the fast path -------------------------------------
+# -- recorder neutrality -----------------------------------------------------
 
 
-def _traced_result(batched: bool):
+def _profile(trace):
     workload = RandomAccess(
         "fp-rand",
         1 << 20,
@@ -202,29 +180,16 @@ def _traced_result(batched: bool):
     spec = ProfileSpec(
         apps=[AppSpec(workload=workload, core=0, membind=0)],
         epoch_cycles=20000.0,
-        trace=TraceSpec(sample_every=4),
+        trace=trace,
     )
-    machine = Machine()
-    machine.engine.set_batched(batched)
-    return PathFinder(machine, spec).run()
+    return PathFinder(Machine(), spec).run()
 
 
-def test_recorder_samples_survive_batched_scheduler():
-    fast = _traced_result(batched=True)
-    slow = _traced_result(batched=False)
-    assert fast.trace is not None and slow.trace is not None
-    assert fast.trace.requests_seen == slow.trace.requests_seen
-    assert fast.trace.requests_traced == slow.trace.requests_traced
-    assert fast.trace.cache_lookups == slow.trace.cache_lookups
-    # Hop-for-hop identical event streams for every sampled request.
-    fast_hops = [
-        (t.local_id, t.path, [(e.component, e.kind, e.t) for e in t.events])
-        for t in fast.trace.traces
-    ]
-    slow_hops = [
-        (t.local_id, t.path, [(e.component, e.kind, e.t) for e in t.events])
-        for t in slow.trace.traces
-    ]
-    assert fast_hops == slow_hops
-    # And the PMU totals agree bit-for-bit.
-    assert api.counters(fast) == api.counters(slow)
+def test_attaching_a_recorder_does_not_change_pmu_totals():
+    """Request pooling is off under a recorder and on without one, so
+    equal totals show pooling is counter-neutral."""
+    traced = _profile(TraceSpec(sample_every=4))
+    untraced = _profile(None)
+    assert traced.trace is not None and untraced.trace is None
+    assert traced.trace.requests_traced > 0
+    assert api.counters(traced) == api.counters(untraced)

@@ -158,9 +158,10 @@ class PFBuilder:
             for family in ("DRd", "RFO", "HWPF")
         }
         tor["DWr"] = {"total": cha.tor_inserts("DWr", "total")}
+        # Non-zero counts only: saved sessions drop the zeros live ones carry.
         cxl_traffic: Dict[int, Dict[str, float]] = {}
-        for scope, _event in delta:
-            if scope.startswith("m2pcie") and scope[6:].isdigit():
+        for (scope, _event), value in delta.items():
+            if value and scope.startswith("m2pcie") and scope[6:].isdigit():
                 node = int(scope[6:])
                 if node not in cxl_traffic:
                     m2p = M2PCIeView(delta, node)

@@ -4,8 +4,8 @@ The paper layers a time-series database over the profiler so sessions can
 be analysed offline and across runs.  This module provides the file
 format: a compact JSON digest of a :class:`ProfileResult` - per-epoch
 counter deltas (sparse), flow metadata and session parameters - plus a
-loader that reconstitutes snapshots so every technique (PFBuilder,
-PFEstimator, PFAnalyzer, PFMaterializer) can re-run on saved data.
+loader that reconstitutes the snapshots; loaded epochs derive their
+analyses on first read (see :class:`~repro.core.profiler.EpochResult`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from .mflow import MFlow
-from .profiler import ProfileResult
+from .profiler import EpochResult, ProfileResult
 from .snapshot import Snapshot
 from .spec import AppSpec, ProfileSpec, ProfilingMode, ReportSpec, TraceSpec
 
@@ -114,7 +114,8 @@ def save_session(result: ProfileResult, path: Union[str, Path]) -> None:
 
 
 def session_from_document(document: Dict) -> "LoadedSession":
-    """Reconstitute a digest document into analysis-ready snapshots."""
+    """Reconstitute a digest into epochs; the document is validated
+    eagerly (keys, version, numeric values), the analyses stay underived."""
     version = document.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported session format version: {version}")
@@ -122,22 +123,23 @@ def session_from_document(document: Dict) -> "LoadedSession":
         data["flow_id"]: _flow_from_dict(data)
         for data in document.get("flows", [])
     }
-    snapshots: List[Snapshot] = []
-    for epoch in document["epochs"]:
+    epochs: List[EpochResult] = []
+    for number, epoch in enumerate(document["epochs"], 1):
         delta = {
-            (scope, event): value for scope, event, value in epoch["delta"]
+            (scope, event): float(value)
+            for scope, event, value in epoch["delta"]
         }
         snapshot = Snapshot(
-            t_start=epoch["t_start"],
-            t_end=epoch["t_end"],
+            t_start=float(epoch["t_start"]),
+            t_end=float(epoch["t_end"]),
             delta=delta,
             flows=[flows[fid] for fid in epoch["flow_ids"] if fid in flows],
             warped=bool(epoch.get("warped", False)),
         )
         snapshot.snapshot_id = epoch["snapshot_id"]
-        snapshots.append(snapshot)
+        epochs.append(EpochResult(epoch.get("epoch", number), snapshot))
     return LoadedSession(
-        snapshots=snapshots,
+        epochs=epochs,
         flows=list(flows.values()),
         total_cycles=document.get("total_cycles", 0.0),
     )
@@ -151,32 +153,13 @@ def load_session(path: Union[str, Path]) -> "LoadedSession":
 def result_from_document(document: Dict) -> ProfileResult:
     """Rebuild a full :class:`ProfileResult` from a digest document.
 
-    Counter deltas, flows and total cycles are exactly the stored values;
-    the derived per-epoch analyses (path map, stall breakdown, queue
-    report) are recomputed by re-running the techniques on the stored
-    snapshots, which is what makes content-addressed cache hits
-    indistinguishable from fresh runs.
+    Counter deltas, flows and total cycles are exactly the stored values.
+    The per-epoch analyses are derived from the stored snapshot on first
+    read and equal the profiler's online ones, so content-addressed cache
+    hits are indistinguishable from fresh runs.
     """
-    from .analyzer import PFAnalyzer
-    from .builder import PFBuilder
-    from .estimator import PFEstimator
-    from .profiler import EpochResult
-
     session = session_from_document(document)
-    builder, estimator, analyzer = PFBuilder(), PFEstimator(), PFAnalyzer()
-    epoch_numbers = [e.get("epoch", i + 1)
-                     for i, e in enumerate(document["epochs"])]
-    epochs = []
-    for number, snapshot in zip(epoch_numbers, session.snapshots):
-        epochs.append(
-            EpochResult(
-                epoch=number,
-                snapshot=snapshot,
-                path_map=builder.build(snapshot),
-                stalls=estimator.breakdown(snapshot),
-                queues=analyzer.analyze(snapshot),
-            )
-        )
+    epochs = session.epochs
     result = ProfileResult(
         epochs=[] if document.get("aggregated_only") else epochs,
         final=epochs[-1] if epochs else None,
@@ -296,31 +279,20 @@ def config_from_document(document: Optional[Dict]):
 
 
 class LoadedSession:
-    """A reconstituted session: snapshots + flows, analysis-ready."""
+    """A reconstituted session: epochs + flows, analysis-ready."""
 
     def __init__(
-        self, snapshots: List[Snapshot], flows: List[MFlow], total_cycles: float
+        self, epochs: List[EpochResult], flows: List[MFlow], total_cycles: float
     ) -> None:
-        self.snapshots = snapshots
+        self.epochs = epochs
         self.flows = flows
         self.total_cycles = total_cycles
 
-    def reanalyze(self):
-        """Re-run the four techniques offline; returns EpochResult-like
-        tuples of (snapshot, path_map, stalls, queues)."""
-        from .analyzer import PFAnalyzer
-        from .builder import PFBuilder
-        from .estimator import PFEstimator
+    @property
+    def snapshots(self) -> List[Snapshot]:
+        return [e.snapshot for e in self.epochs]
 
-        builder, estimator, analyzer = PFBuilder(), PFEstimator(), PFAnalyzer()
-        out = []
-        for snapshot in self.snapshots:
-            out.append(
-                (
-                    snapshot,
-                    builder.build(snapshot),
-                    estimator.breakdown(snapshot),
-                    analyzer.analyze(snapshot),
-                )
-            )
-        return out
+    def reanalyze(self):
+        """(snapshot, path_map, stalls, queues) for every epoch."""
+        return [(e.snapshot, e.path_map, e.stalls, e.queues)
+                for e in self.epochs]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional
 
 logger = logging.getLogger(__name__)
@@ -29,19 +30,49 @@ from .snapshot import Snapshot, SnapshotTaker
 from .spec import AppSpec, ProfileSpec, ProfilingMode
 
 
-@dataclass
 class EpochResult:
-    """Everything PathFinder derived from one snapshot."""
+    """Everything PathFinder derived from one snapshot.
 
-    epoch: int
-    snapshot: Snapshot
-    path_map: PathMap
-    stalls: StallBreakdown
-    queues: AnalyzerReport
+    ``path_map``, ``stalls`` and ``queues`` are pure functions of the
+    snapshot, computed on first read and memoized; the profiler passes
+    in the ones it ran online.
+    """
+
+    def __init__(self, epoch: int, snapshot: Snapshot,
+                 path_map: Optional[PathMap] = None,
+                 stalls: Optional[StallBreakdown] = None,
+                 queues: Optional[AnalyzerReport] = None) -> None:
+        self.epoch = epoch
+        self.snapshot = snapshot
+        # A given analysis shadows the cached_property of the same name.
+        given = {"path_map": path_map, "stalls": stalls, "queues": queues}
+        self.__dict__.update((k, v) for k, v in given.items() if v is not None)
+
+    @cached_property
+    def path_map(self) -> PathMap:
+        return PFBuilder().build(self.snapshot)
+
+    @cached_property
+    def stalls(self) -> StallBreakdown:
+        return PFEstimator().breakdown(self.snapshot)
+
+    @cached_property
+    def queues(self) -> AnalyzerReport:
+        return PFAnalyzer().analyze(self.snapshot)
 
     @property
     def t_end(self) -> float:
         return self.snapshot.t_end
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EpochResult):
+            return NotImplemented
+        fields = ("epoch", "snapshot", "path_map", "stalls", "queues")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+    def __repr__(self) -> str:
+        return (f"EpochResult(epoch={self.epoch!r}, "
+                f"snapshot={self.snapshot!r})")
 
 
 @dataclass
@@ -325,13 +356,7 @@ class PathFinder:
                 epoch, snapshot.t_start, snapshot.t_end, path_map.cxl_hits(),
                 f"{culprit.path}@{culprit.component}" if culprit else "-",
             )
-        return EpochResult(
-            epoch=epoch,
-            snapshot=snapshot,
-            path_map=path_map,
-            stalls=stalls,
-            queues=queues,
-        )
+        return EpochResult(epoch, snapshot, path_map, stalls, queues)
 
 
 def profile(

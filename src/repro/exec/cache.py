@@ -94,8 +94,8 @@ class ResultCache:
 
         What a long-lived server wants on the idempotent-resubmission
         path: hit detection and counter totals straight off the stored
-        document, without paying :func:`result_from_document`'s analysis
-        replay.  Counts a hit/miss and refreshes LRU recency exactly like
+        document, without reconstructing the session's snapshots.
+        Counts a hit/miss and refreshes LRU recency exactly like
         :meth:`get`.
         """
         path = self._path(key)

@@ -172,6 +172,25 @@ def test_wrong_format_or_mismatched_key_entry_is_rejected(tmp_path):
     assert cache2.get(job2.key()) is None
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("delta", "many"), ("delta", None), ("t_start", None), ("t_end", "x"),
+])
+def test_non_numeric_session_value_is_dropped_on_get(tmp_path, field, bad):
+    # Loading derives no analysis, so value types must be checked eagerly
+    # or a bad entry would load and fail later, in the caller.
+    cache, job, _campaign = _run_one(tmp_path)
+    path = cache.root / f"{job.key()}.json"
+    entry = json.loads(path.read_text())
+    epoch = entry["session"]["epochs"][0]
+    if field == "delta":
+        epoch["delta"][0][2] = bad
+    else:
+        epoch[field] = bad
+    path.write_text(json.dumps(entry))
+    assert cache.get(job.key()) is None
+    assert not path.exists()
+
+
 def test_cache_rejects_malformed_keys(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     with pytest.raises(ValueError):

@@ -2,11 +2,12 @@
 
 ``PathFinder.run()`` installs the applications on the machine, then drives
 the simulation in scheduling epochs.  At each epoch boundary it takes a
-PMU snapshot, associates it with the live mFlows, and pushes it through
-the four techniques: PFBuilder (path map), PFEstimator (stall breakdown),
-PFAnalyzer (queue/culprit analysis) and PFMaterializer (time-series
-ingestion).  The per-epoch results are collected into an
-:class:`EpochResult` list that the case studies and the CLI render.
+PMU snapshot and associates it with the live mFlows.  The four techniques
+run on first read: PFBuilder (path map), PFEstimator (stall breakdown) and
+PFAnalyzer (queue/culprit analysis) when an :class:`EpochResult` is asked
+for them, PFMaterializer (time-series ingestion) when
+``PathFinder.materializer`` is.  The per-epoch results are collected into
+an :class:`EpochResult` list that the case studies and the CLI render.
 """
 
 from __future__ import annotations
@@ -31,22 +32,16 @@ from .spec import AppSpec, ProfileSpec, ProfilingMode
 
 
 class EpochResult:
-    """Everything PathFinder derived from one snapshot.
+    """Everything PathFinder derives from one snapshot.
 
     ``path_map``, ``stalls`` and ``queues`` are pure functions of the
-    snapshot, computed on first read and memoized; the profiler passes
-    in the ones it ran online.
+    snapshot, computed on first read and memoized.  Online epochs and
+    epochs loaded from a session document derive them the same way.
     """
 
-    def __init__(self, epoch: int, snapshot: Snapshot,
-                 path_map: Optional[PathMap] = None,
-                 stalls: Optional[StallBreakdown] = None,
-                 queues: Optional[AnalyzerReport] = None) -> None:
+    def __init__(self, epoch: int, snapshot: Snapshot) -> None:
         self.epoch = epoch
         self.snapshot = snapshot
-        # A given analysis shadows the cached_property of the same name.
-        given = {"path_map": path_map, "stalls": stalls, "queues": queues}
-        self.__dict__.update((k, v) for k, v in given.items() if v is not None)
 
     @cached_property
     def path_map(self) -> PathMap:
@@ -80,6 +75,8 @@ class ProfileResult:
     """A full profiling session: epoch series + final aggregate."""
 
     epochs: List[EpochResult] = field(default_factory=list)
+    # CONTINUOUS: the last epoch.  AGGREGATED: one cumulative epoch whose
+    # delta sums every epoch's (warped ones included).
     final: Optional[EpochResult] = None
     flows: List[MFlow] = field(default_factory=list)
     total_cycles: float = 0.0
@@ -96,6 +93,30 @@ class ProfileResult:
     def series(self, fn) -> List[float]:
         """Map an extractor over the epoch results."""
         return [fn(e) for e in self.epochs]
+
+
+def _fold(total: Optional[EpochResult], part: EpochResult) -> EpochResult:
+    """Add one epoch to AGGREGATED mode's cumulative epoch.
+
+    Deltas are summed in the order :func:`repro.api.counters` sums a
+    continuous session, so both modes total the same counters.
+    """
+    snapshot = part.snapshot
+    if total is None:
+        total = EpochResult(part.epoch, Snapshot(
+            t_start=snapshot.t_start, t_end=snapshot.t_end, delta={},
+            snapshot_id=snapshot.snapshot_id))
+    cumulative = total.snapshot
+    delta = cumulative.delta
+    for key, value in snapshot.delta.items():
+        delta[key] = delta.get(key, 0.0) + value
+    seen = {flow.flow_id for flow in cumulative.flows}
+    cumulative.flows += [f for f in snapshot.flows if f.flow_id not in seen]
+    cumulative.t_end = snapshot.t_end
+    cumulative.snapshot_id = snapshot.snapshot_id
+    cumulative.warped = cumulative.warped or snapshot.warped
+    total.epoch = part.epoch
+    return total
 
 
 class PathFinder:
@@ -123,9 +144,6 @@ class PathFinder:
         self.warp: Optional[WarpController] = None
         if warp_spec is not None:
             self.warp = WarpController(machine, warp_spec, spec.epoch_cycles)
-        self.builder = PFBuilder()
-        self.estimator = PFEstimator()
-        self.analyzer = PFAnalyzer()
         self.live = None
         self.live_bus = None
         self._on_epoch = on_epoch
@@ -140,12 +158,13 @@ class PathFinder:
             )
 
             self.live = coerce_live(live)
-            self.materializer = LiveMaterializer(self.live)
+            self._materializer = LiveMaterializer(self.live)
             self.live_bus = IngestionBus()
             if self.live.sample_queues:
-                self._sampler = QueueSampler(machine, self.materializer.db)
+                self._sampler = QueueSampler(machine, self._materializer.db)
         else:
-            self.materializer = PFMaterializer()
+            self._materializer = PFMaterializer()
+        self._uningested: List[EpochResult] = []
         self.flows = MFlowRegistry()
         self.recorder: Optional[FlightRecorder] = None
         if spec.trace is not None:
@@ -262,12 +281,7 @@ class PathFinder:
             if self.recorder is not None:
                 self.recorder.epoch_mark(self.machine.now)
             snapshot = self._taker.take(self.machine.now, flows=live)
-            epoch_result = self._process(epoch, snapshot)
-            if self.live is not None:
-                self._publish_epoch(epoch_result)
-            if self.spec.mode is ProfilingMode.CONTINUOUS:
-                result.epochs.append(epoch_result)
-            result.final = epoch_result
+            self._process(epoch, snapshot, result)
             if self.warp is not None:
                 # Exact epochs feed the steady-state detector (and judge
                 # the verification epoch after a warp); once armed, skip
@@ -321,42 +335,54 @@ class PathFinder:
             self.recorder.epoch_mark(now)
             self.recorder.warp_mark(event.t_start, now)
         snapshot = self._taker.take_extrapolated(now, steady, scale, flows=live)
-        epoch_result = self._process(epoch, snapshot)
-        if self.live is not None:
-            self._publish_epoch(epoch_result)
-        if self.spec.mode is ProfilingMode.CONTINUOUS:
-            result.epochs.append(epoch_result)
-        result.final = epoch_result
+        self._process(epoch, snapshot, result)
         return epoch
+
+    @property
+    def materializer(self) -> PFMaterializer:
+        """The materializer, after ingesting every epoch it has not seen."""
+        pending, self._uningested = self._uningested, []
+        for epoch_result in pending:
+            self._materializer.ingest(epoch_result.snapshot,
+                                      epoch_result.path_map)
+        return self._materializer
 
     def _publish_epoch(self, epoch_result: EpochResult) -> None:
         """Stream one epoch's digest to live consumers (bus + callback)."""
         from ..live import epoch_digest
 
+        # Ingest before the sampler writes this epoch's queue records.
+        materializer = self.materializer
         queues = None
         if self._sampler is not None:
             samples = self._sampler.sample(self.machine.now)
             queues = self._sampler.hottest(samples, self.live.top_k)
         digest = epoch_digest(
-            epoch_result, self.materializer, top_k=self.live.top_k, queues=queues
+            epoch_result, materializer, top_k=self.live.top_k, queues=queues
         )
         self.live_bus.publish(digest)
         if self._on_epoch is not None:
             self._on_epoch(digest)
 
-    def _process(self, epoch: int, snapshot: Snapshot) -> EpochResult:
-        path_map = self.builder.build(snapshot)
-        stalls = self.estimator.breakdown(snapshot)
-        queues = self.analyzer.analyze(snapshot)
-        self.materializer.ingest(snapshot, path_map)
+    def _process(self, epoch: int, snapshot: Snapshot,
+                 result: ProfileResult) -> None:
+        epoch_result = EpochResult(epoch, snapshot)
+        self._uningested.append(epoch_result)
         if logger.isEnabledFor(logging.DEBUG):
-            culprit = queues.culprit()
+            culprit = epoch_result.queues.culprit()
             logger.debug(
                 "epoch %d [%0.0f..%0.0f]: cxl_hits=%0.0f culprit=%s",
-                epoch, snapshot.t_start, snapshot.t_end, path_map.cxl_hits(),
+                epoch, snapshot.t_start, snapshot.t_end,
+                epoch_result.path_map.cxl_hits(),
                 f"{culprit.path}@{culprit.component}" if culprit else "-",
             )
-        return EpochResult(epoch, snapshot, path_map, stalls, queues)
+        if self.live is not None:
+            self._publish_epoch(epoch_result)
+        if self.spec.mode is ProfilingMode.AGGREGATED:
+            result.final = _fold(result.final, epoch_result)
+        else:
+            result.epochs.append(epoch_result)
+            result.final = epoch_result
 
 
 def profile(
